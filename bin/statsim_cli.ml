@@ -11,9 +11,11 @@
      client      send one request to a running daemon
      list        list workloads and experiments
 
-   simulate and diag execute through Server.Ops — the same dispatcher
-   the daemon runs — so a server reply is byte-identical to the
-   one-shot output by construction. *)
+   Every simulating subcommand (simulate, estimate, diag, experiment,
+   dse) executes through Server.Ops.dispatch — the same dispatcher the
+   daemon runs — so a server reply is byte-identical to the one-shot
+   output by construction. The CLI itself only adds process-local
+   output: --telemetry, --trace-out and the --pareto-out file. *)
 
 open Cmdliner
 
@@ -32,12 +34,14 @@ let print_ops_result r =
   | Some (Telemetry.Json.Bool false) -> exit 1
   | _ -> ()
 
-let run_ops env ~op params =
+let dispatch env ~op params =
   match Server.Ops.dispatch env ~op params with
-  | Ok r -> print_ops_result r
+  | Ok r -> r
   | Error msg ->
     Printf.eprintf "%s\n" msg;
     exit 2
+
+let run_ops env ~op params = print_ops_result (dispatch env ~op params)
 
 let bench_arg =
   let doc = "Workload name (one of the SPECint stand-ins)." in
@@ -104,15 +108,6 @@ let ci_target_arg =
   Arg.(
     value & opt (some float) None & info [ "ci-target" ] ~docv:"PCT" ~doc)
 
-let no_compile_arg =
-  let doc =
-    "Use the interpreted SFG walk instead of the compiled execution plan. \
-     The compiled kernel (the default) lowers the graph into flat arrays \
-     with alias samplers and is statistically equivalent; this escape hatch \
-     exists for cross-checking the two engines and for debugging."
-  in
-  Arg.(value & flag & info [ "no-compile" ] ~doc)
-
 let cache_dir_arg =
   let doc =
     "Persistent artifact-store directory: statistical profiles and EDS \
@@ -129,8 +124,8 @@ let jopt k f v =
   match v with None -> [] | Some v -> [ (k, f v) ]
 
 let simulate_cmd =
-  let run bench length syn seed k profile_file stream no_compile replicas
-      ci_target stratify no_control_variate strata pilot jobs json cache_dir =
+  let run bench length syn seed k profile_file stream replicas ci_target
+      stratify no_control_variate strata pilot jobs json cache_dir =
     let params =
       Telemetry.Json.Obj
         ([
@@ -139,7 +134,6 @@ let simulate_cmd =
            ("synthetic", jnum syn);
            ("seed", jnum seed);
            ("stream", Telemetry.Json.Bool stream);
-           ("no_compile", Telemetry.Json.Bool no_compile);
            ("stratify", Telemetry.Json.Bool stratify);
            ("control_variate", Telemetry.Json.Bool (not no_control_variate));
            ("json", Telemetry.Json.Bool json);
@@ -194,7 +188,7 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
       const run $ bench_arg $ length_arg $ syn_arg $ seed_arg $ k_opt_arg
-      $ load_arg $ stream_arg $ no_compile_arg $ replicas_arg $ ci_target_arg
+      $ load_arg $ stream_arg $ replicas_arg $ ci_target_arg
       $ stratify_arg $ no_cv_arg $ strata_arg $ pilot_arg $ jobs_arg $ json_arg
       $ cache_dir_arg)
 
@@ -244,8 +238,8 @@ let force_arg =
 (* --- fidelity observatory: statsim diag --- *)
 
 let diag_cmd =
-  let run bench length syn reduction seed k profile_file no_compile json check
-      eds cache_dir =
+  let run bench length syn reduction seed k profile_file json check eds
+      cache_dir =
     let params =
       Telemetry.Json.Obj
         ([
@@ -253,7 +247,6 @@ let diag_cmd =
            ("length", jnum length);
            ("synthetic", jnum syn);
            ("seed", jnum seed);
-           ("no_compile", Telemetry.Json.Bool no_compile);
            ("json", Telemetry.Json.Bool json);
            ("eds", Telemetry.Json.Bool eds);
          ]
@@ -299,8 +292,7 @@ let diag_cmd =
   Cmd.v (Cmd.info "diag" ~doc)
     Term.(
       const run $ bench_arg $ length_arg $ syn_arg $ reduction_arg $ seed_arg
-      $ k_opt_arg $ load_arg $ no_compile_arg $ json_arg $ check_arg
-      $ eds_arg $ cache_dir_arg)
+      $ k_opt_arg $ load_arg $ json_arg $ check_arg $ eds_arg $ cache_dir_arg)
 
 let profile_cmd =
   let run bench length k save force =
@@ -342,19 +334,22 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const run $ bench_arg $ length_arg $ k_arg $ save_arg $ force_arg)
 
+(* the op's format name, validated here so a typo fails at parse time *)
 let format_arg =
   let doc = "Report format: $(b,text) (the paper tables), $(b,csv) or $(b,json)." in
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("text", Runner.Report.Text);
-             ("csv", Runner.Report.Csv);
-             ("json", Runner.Report.Json);
-           ])
-        Runner.Report.Text
+    & opt (enum (List.map (fun f -> (f, f)) Runner.Report.format_names)) "text"
     & info [ "f"; "format" ] ~docv:"FMT" ~doc)
+
+(* After the reports: the process-wide telemetry, as a JSON document
+   with --format=json and a text block otherwise. *)
+let print_telemetry format =
+  if Telemetry.enabled () then begin
+    let snap = Telemetry.snapshot () in
+    if format = "json" then print_string (Telemetry.render_json snap)
+    else Telemetry.render_text Format.std_formatter snap
+  end
 
 let jobs_arg =
   let doc =
@@ -375,89 +370,67 @@ let telemetry_arg =
 
 let experiment_cmd =
   let run ids format jobs telemetry cache_dir trace_out diag replicas =
-    let ppf = Format.std_formatter in
     if telemetry then Telemetry.set_enabled true;
     if trace_out <> None then Telemetry.set_capture true;
-    let entries =
-      match ids with
-      | [] -> Experiments.Registry.all
-      | ids ->
-        List.map
-          (fun id ->
-            match Experiments.Registry.find id with
-            | Some e -> e
-            | None ->
-              Printf.eprintf "unknown experiment %S\n" id;
-              exit 2)
-          ids
-    in
-    (* one ctx for the whole selection: references and profiles are
-       computed once and shared across experiments *)
-    let ctx = Runner.Exec.create_ctx ?jobs ?cache_dir () in
-    List.iter
-      (fun (e : Experiments.Registry.entry) ->
-        Runner.Report.render format ppf
-          (Runner.Exec.run ~label:e.id ctx e.plan))
-      entries;
-    if diag then begin
-      let cfg = Config.Machine.baseline in
+    (* one env for the whole selection: references and profiles are
+       computed once and shared across experiments and the per-bench
+       diag / replicate dispatches below *)
+    let env = Server.Ops.default_env ?jobs ?cache_dir () in
+    let str s = Telemetry.Json.Str s in
+    print_string
+      (Server.Ops.output
+         (dispatch env ~op:"experiment"
+            (Telemetry.Json.Obj
+               [
+                 ("ids", Telemetry.Json.Arr (List.map str ids));
+                 ("format", str format);
+               ])));
+    let json = format = "json" in
+    (* each selected workload at the experiments' own sizes and seed *)
+    let per_bench ~op extra k =
       List.iter
         (fun (spec : Workload.Spec.t) ->
-          let p =
-            Experiments.Exp_common.profile ctx.Runner.Exec.cache cfg
-              (Experiments.Exp_common.src spec)
+          let r =
+            dispatch env ~op
+              (Telemetry.Json.Obj
+                 ([
+                    ("bench", str spec.name);
+                    ("length", jnum Experiments.Exp_common.ref_length);
+                    ("synthetic", jnum Experiments.Exp_common.syn_length);
+                    ("seed", jnum Experiments.Exp_common.seed);
+                    ("json", Telemetry.Json.Bool json);
+                  ]
+                 @ extra))
           in
-          let tr =
-            Synth.Generate.generate
-              ~target_length:Experiments.Exp_common.syn_length p
-              ~seed:Experiments.Exp_common.seed
-          in
-          let d = Diag.compare ~label:spec.Workload.Spec.name p tr in
-          match format with
-          | Runner.Report.Json ->
-            print_string (Telemetry.Json.to_string (Diag.to_json d) ^ "\n")
-          | Runner.Report.Text | Runner.Report.Csv ->
-            print_string (Diag.render_text d))
+          k spec.name (Server.Ops.output r))
         Experiments.Exp_common.benches
-    end;
+    in
+    if diag then per_bench ~op:"diag" [] (fun _ out -> print_string out);
     (match replicas with
     | None -> ()
     | Some n ->
       (* dispersion context for the tables above: how much of each
          number is seed noise *)
-      let cfg = Config.Machine.baseline in
-      List.iter
-        (fun (spec : Workload.Spec.t) ->
-          let p =
-            Experiments.Exp_common.profile ctx.Runner.Exec.cache cfg
-              (Experiments.Exp_common.src spec)
-          in
-          let r =
-            Statsim.replicate ~jobs:ctx.Runner.Exec.jobs ~stream:true
-              ~target_length:Experiments.Exp_common.syn_length cfg p
-              ~master_seed:Experiments.Exp_common.seed ~replicas:n
-          in
-          match format with
-          | Runner.Report.Json ->
-            print_string
-              (Telemetry.Json.to_string
-                 (Telemetry.Json.Obj
-                    [
-                      ("bench", Telemetry.Json.Str spec.Workload.Spec.name);
-                      ("replication", Synth.Replicate.to_json r);
-                    ])
-              ^ "\n")
-          | Runner.Report.Text | Runner.Report.Csv ->
-            Format.printf "%s %a" spec.Workload.Spec.name
-              (fun ppf -> Synth.Replicate.render_text ppf)
-              r)
-        Experiments.Exp_common.benches);
-    if Telemetry.enabled () then begin
-      let snap = Telemetry.snapshot () in
-      (match format with
-      | Runner.Report.Json -> print_string (Telemetry.render_json snap)
-      | Runner.Report.Text | Runner.Report.Csv -> Telemetry.render_text ppf snap);
-    end;
+      per_bench ~op:"replicate"
+        [
+          ("replicas", jnum n);
+          ("stream", Telemetry.Json.Bool true);
+          ("jobs", jnum env.Server.Ops.jobs);
+        ]
+        (fun name out ->
+          (* reply numbers print as %.12g, so re-printing the parsed
+             document inside the wrapper is byte-stable *)
+          if json then
+            match Telemetry.Json.of_string out with
+            | Ok r ->
+              print_string
+                (Telemetry.Json.to_string
+                   (Telemetry.Json.Obj
+                      [ ("bench", str name); ("replication", r) ])
+                ^ "\n")
+            | Error msg -> failwith ("replicate reply: " ^ msg)
+          else print_string (name ^ " " ^ out)));
+    print_telemetry format;
     match trace_out with
     | None -> ()
     | Some path ->
@@ -508,46 +481,43 @@ let dse_cmd =
   let run sweep_file bench length syn seed replicas jobs format telemetry
       cache_dir max_points pareto_out =
     if telemetry then Telemetry.set_enabled true;
+    (* the daemon never opens a client-named file, so the sweep travels
+       inline *)
     let sweep =
       match Dse.Sweep.load_file sweep_file with
-      | Ok s -> s
+      | Ok s -> Dse.Sweep.to_json s
       | Error msg ->
         Printf.eprintf "%s\n" msg;
         exit 2
     in
-    let spec = spec_of_name bench in
-    (* same ctx as `experiment`: the sweep's one profile and one plan go
-       through the shared memo cache and, with --cache-dir, the
-       persistent store — a warm store resumes a sweep without
+    let params =
+      Telemetry.Json.Obj
+        ([
+           ("sweep", sweep);
+           ("bench", Telemetry.Json.Str bench);
+           ("length", jnum length);
+           ("synthetic", jnum syn);
+           ("seed", jnum seed);
+           ("replicas", jnum replicas);
+           ("format", Telemetry.Json.Str format);
+         ]
+        @ jopt "max_points" jnum max_points)
+    in
+    (* with --cache-dir the sweep's one profile and one plan go through
+       the persistent store — a warm store resumes a sweep without
        recollecting anything *)
-    let ctx = Runner.Exec.create_ctx ?jobs ?cache_dir () in
-    match
-      Dse.Driver.run ~cache:ctx.Runner.Exec.cache ~jobs:ctx.Runner.Exec.jobs
-        ~replicas ?max_points ~length ~target_length:syn ~sweep ~bench:spec
-        ~seed ()
-    with
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-    | Ok r ->
-      Runner.Report.render format Format.std_formatter (Dse.Driver.to_report r);
-      (match pareto_out with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        let ppf = Format.formatter_of_out_channel oc in
-        Runner.Report.to_csv ppf (Dse.Driver.pareto_report r);
-        Format.pp_print_flush ppf ();
-        close_out oc;
-        (* stderr: --format=json must stay a clean document on stdout *)
-        Printf.eprintf "pareto frontier CSV written to %s\n" path);
-      if Telemetry.enabled () then begin
-        let snap = Telemetry.snapshot () in
-        match format with
-        | Runner.Report.Json -> print_string (Telemetry.render_json snap)
-        | Runner.Report.Text | Runner.Report.Csv ->
-          Telemetry.render_text Format.std_formatter snap
-      end
+    let env = Server.Ops.default_env ?jobs ?cache_dir () in
+    let r = dispatch env ~op:"dse" params in
+    print_string (Server.Ops.output r);
+    (match (pareto_out, Telemetry.Json.member "pareto_csv" r) with
+    | Some path, Some (Telemetry.Json.Str csv) ->
+      let oc = open_out path in
+      output_string oc csv;
+      close_out oc;
+      (* stderr: --format=json must stay a clean document on stdout *)
+      Printf.eprintf "pareto frontier CSV written to %s\n" path
+    | _ -> ());
+    print_telemetry format
   in
   let sweep_arg =
     let doc =

@@ -19,37 +19,37 @@ let profile ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred cfg gen =
 let compile_plan ?reduction ?target_length p =
   Kernel.Compile.plan ?reduction ?target_length p
 
-let synthesize ?compile ?reduction ?target_length p ~seed =
-  Synth.Generate.generate ?compile ?reduction ?target_length p ~seed
+let synthesize ?reduction ?target_length p ~seed =
+  Synth.Generate.generate ?reduction ?target_length p ~seed
 
 let simulate cfg trace = result_of_metrics cfg (Synth.Run.run cfg trace)
 
-let simulate_stream ?compile ?reduction ?target_length cfg p ~seed =
+let simulate_stream ?reduction ?target_length cfg p ~seed =
   result_of_metrics cfg
-    (Synth.Run.run_stream ?compile ?reduction ?target_length cfg p ~seed)
+    (Synth.Run.run_stream ?reduction ?target_length cfg p ~seed)
 
-let run_profile ?compile ?reduction ?target_length cfg p ~seed =
-  simulate cfg (synthesize ?compile ?reduction ?target_length p ~seed)
+let run_profile ?reduction ?target_length cfg p ~seed =
+  simulate cfg (synthesize ?reduction ?target_length p ~seed)
 
 let run_plan cfg plan ~seed =
   result_of_metrics cfg (Synth.Run.run_stream_of_plan cfg plan ~seed)
 
-let replicate ?jobs ?stream ?compile ?reduction ?target_length cfg p
+let replicate ?jobs ?stream ?reduction ?target_length cfg p
     ~master_seed ~replicas =
-  Synth.Replicate.run ?jobs ?stream ?compile ?reduction ?target_length cfg p
+  Synth.Replicate.run ?jobs ?stream ?reduction ?target_length cfg p
     ~master_seed ~replicas
 
-let replicate_ci ?jobs ?stream ?compile ?reduction ?target_length
+let replicate_ci ?jobs ?stream ?reduction ?target_length
     ?min_replicas ?max_replicas cfg p ~master_seed ~ci_target =
-  Synth.Replicate.run_ci ?jobs ?stream ?compile ?reduction ?target_length
+  Synth.Replicate.run_ci ?jobs ?stream ?reduction ?target_length
     ?min_replicas ?max_replicas cfg p ~master_seed ~ci_target
 
-let run ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred ?compile
+let run ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred
     ?reduction ?target_length cfg gen ~seed =
   let p =
     profile ?k ?dep_cap ?branch_mode ?perfect_caches ?perfect_bpred cfg gen
   in
-  run_profile ?compile ?reduction ?target_length cfg p ~seed
+  run_profile ?reduction ?target_length cfg p ~seed
 
 let reference ?max_instructions ?perfect_caches ?perfect_bpred cfg gen =
   result_of_metrics cfg

@@ -60,11 +60,9 @@ val compile_plan :
 (** Lower a profile into a compiled execution plan: flat arrays, alias
     samplers and fixed-point rate thresholds (see {!Kernel.Compile}).
     Plans are immutable, shareable across machine configs and domains,
-    and are what every generation entry point below executes unless
-    [~compile:false] selects the interpreted SFG walk. *)
+    and are what every generation entry point below executes. *)
 
 val synthesize :
-  ?compile:bool ->
   ?reduction:int ->
   ?target_length:int ->
   Profile.Stat_profile.t ->
@@ -76,7 +74,6 @@ val simulate : Config.Machine.t -> Synth.Trace.t -> result
 (** Step 3. *)
 
 val simulate_stream :
-  ?compile:bool ->
   ?reduction:int ->
   ?target_length:int ->
   Config.Machine.t ->
@@ -93,7 +90,6 @@ val run :
   ?branch_mode:Profile.Branch_profiler.mode ->
   ?perfect_caches:bool ->
   ?perfect_bpred:bool ->
-  ?compile:bool ->
   ?reduction:int ->
   ?target_length:int ->
   Config.Machine.t ->
@@ -103,7 +99,6 @@ val run :
 (** The full statistical-simulation pipeline on one stream. *)
 
 val run_profile :
-  ?compile:bool ->
   ?reduction:int ->
   ?target_length:int ->
   Config.Machine.t ->
@@ -124,7 +119,6 @@ val run_plan : Config.Machine.t -> Kernel.Plan.t -> seed:int -> result
 val replicate :
   ?jobs:int ->
   ?stream:bool ->
-  ?compile:bool ->
   ?reduction:int ->
   ?target_length:int ->
   Config.Machine.t ->
@@ -141,7 +135,6 @@ val replicate :
 val replicate_ci :
   ?jobs:int ->
   ?stream:bool ->
-  ?compile:bool ->
   ?reduction:int ->
   ?target_length:int ->
   ?min_replicas:int ->

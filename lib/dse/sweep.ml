@@ -229,6 +229,24 @@ let of_json j =
 let of_string s =
   match J.of_string s with Ok j -> of_json j | Error msg -> Error msg
 
+let rec spec_to_json = function
+  | Axis (ax, vs) ->
+    J.Obj
+      [
+        ("axis", J.Str ax.Config.Machine.axis_name);
+        ("values", J.Arr (List.map (fun v -> J.Num (float_of_int v)) vs));
+      ]
+  | Cross ss -> J.Obj [ ("cross", J.Arr (List.map spec_to_json ss)) ]
+  | Zip ss -> J.Obj [ ("zip", J.Arr (List.map spec_to_json ss)) ]
+
+let to_json t =
+  J.Obj
+    ((("name", J.Str t.sweep_name)
+     :: Option.fold ~none:[]
+          ~some:(fun m -> [ ("max_points", J.Num (float_of_int m)) ])
+          t.max_points)
+    @ [ ("sweep", spec_to_json t.spec) ])
+
 let load_file path =
   match
     let ic = open_in_bin path in

@@ -65,6 +65,11 @@ val of_json : Telemetry.Json.t -> (t, string) result
 val of_string : string -> (t, string) result
 val load_file : string -> (t, string) result
 
+val to_json : t -> Telemetry.Json.t
+(** The sweep-file shape {!of_json} reads, with every axis written as an
+    explicit ["values"] list: [of_json (to_json s)] expands to the same
+    points as [s]. *)
+
 (** {1 Expansion} *)
 
 type point = (Config.Machine.axis * int) list

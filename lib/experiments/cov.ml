@@ -5,6 +5,11 @@ let lengths =
 
 let seeds_per_length = 20
 
+(* "25k" when the length is a whole number of thousands, the exact
+   count otherwise: a scaled-down length must not print as "0k" *)
+let length_label l =
+  if l mod 1000 = 0 then Printf.sprintf "%dk" (l / 1000) else string_of_int l
+
 type row = { bench : string; cov : float array }
 
 let jobs () =
@@ -49,7 +54,7 @@ let reduce _jobs results =
               trace length (%d seeds) =="
              seeds_per_length);
         table ~name:"main"
-          ~columns:(List.map (fun l -> Printf.sprintf "%dk" (l / 1000)) lengths)
+          ~columns:(List.map length_label lengths)
           (List.map (fun r -> (r.bench, nums (Array.to_list r.cov))) rows
           @ [ ("avg", nums (Array.to_list avg)) ]);
         Line

@@ -3,9 +3,8 @@
    arrays. Node indices follow SFG key order so the layout never
    depends on hash-table iteration order. *)
 
-(* Shared with the interpreted path (Synth.Generate delegates here);
-   the error text keeps the historical [Generate.generate] prefix
-   because that is the user-facing entry point. *)
+(* The error text keeps the [Generate.generate] prefix because that is
+   the user-facing entry point (it delegates here). *)
 let derive_reduction ?reduction ?target_length total =
   match (reduction, target_length) with
   | Some r, None -> r
@@ -114,8 +113,8 @@ let plan ?reduction ?target_length (p : Profile.Stat_profile.t) =
     thr_taken =
       Array.map
         (fun (n : Profile.Sfg.node) ->
-          (* a node that never executed its branch emits taken branches,
-             matching the interpreted taken-by-default rule *)
+          (* a node that never executed its branch emits taken
+             branches: the taken-by-default rule *)
           if n.br_execs = 0 then Plan.always
           else thr n.br_taken n.br_execs)
         nodes;

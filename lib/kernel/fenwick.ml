@@ -3,8 +3,8 @@
    nodes are drawn proportionally to their *remaining* occurrence
    counts, which decrement as the walk visits blocks, and an alias
    table is frozen at construction. The Fenwick tree gives O(log n)
-   weighted draws and O(log n) decrements against the interpreted
-   path's O(n) rescan per restart. *)
+   weighted draws and O(log n) decrements instead of an O(n) rescan
+   per restart. *)
 
 type t = {
   tree : int array;  (* 1-based partial sums *)

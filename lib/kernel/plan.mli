@@ -36,8 +36,8 @@ type t = {
           empty = dead end (walk restarts) *)
   thr_taken : int array;
       (** fixed-point taken thresholds; saturated ({!always}) when the
-          node recorded no branch executions, preserving the
-          interpreted path's taken-by-default rule *)
+          node recorded no branch executions (the taken-by-default
+          rule) *)
   thr_mis : int array;
   thr_misred : int array;
       (** threshold of P(mispredict) + P(redirect): one raw draw [u]

@@ -136,7 +136,6 @@ let simulate env ~force_replicas params =
   let k = int_opt params "k" in
   let profile_file = str_opt params "profile" in
   let stream = bool_def params "stream" false in
-  let compile = not (bool_def params "no_compile" false) in
   let replicas =
     match int_opt params "replicas" with
     | Some n -> Some n
@@ -170,27 +169,17 @@ let simulate env ~force_replicas params =
     let ss =
       let p = collect () in
       env.check ();
-      if compile then begin
-        (* the cached plan samples bit-identically to a fresh
-           Generate.generate ~compile, so this equals the one-shot
-           Statsim.run_profile/simulate_stream path byte-for-byte *)
-        let plan =
-          tspan env "cache.plan" (fun () ->
-              Runner.Cache.plan env.cache ~target_length:syn p)
-        in
-        env.check ();
-        tspan env "simulate.run" (fun () ->
-            if stream then Statsim.run_plan cfg plan ~seed
-            else
-              Statsim.simulate cfg (Synth.Generate.generate_of_plan plan ~seed))
-      end
-      else
-        tspan env "simulate.run" (fun () ->
-            if stream then
-              Statsim.simulate_stream ~compile:false ~target_length:syn cfg p
-                ~seed
-            else
-              Statsim.run_profile ~compile:false ~target_length:syn cfg p ~seed)
+      (* the cached plan samples bit-identically to a fresh
+         Generate.generate, so this equals the one-shot
+         Statsim.run_profile/simulate_stream path byte-for-byte *)
+      let plan =
+        tspan env "cache.plan" (fun () ->
+            Runner.Cache.plan env.cache ~target_length:syn p)
+      in
+      env.check ();
+      tspan env "simulate.run" (fun () ->
+          if stream then Statsim.run_plan cfg plan ~seed
+          else Statsim.simulate cfg (Synth.Generate.generate_of_plan plan ~seed))
     in
     Printf.bprintf buf "%-22s %10s %10s %8s\n" "" "EDS" "statsim" "error";
     let line name get =
@@ -240,11 +229,11 @@ let simulate env ~force_replicas params =
       tspan env "replicate.run" (fun () ->
           match ci_target with
           | Some ci_target ->
-            Synth.Replicate.run_ci ~jobs ~stream ~compile ~check:env.check
+            Synth.Replicate.run_ci ~jobs ~stream ~check:env.check
               ~target_length:syn ?min_replicas:replicas cfg p ~master_seed:seed
               ~ci_target
           | None ->
-            Synth.Replicate.run ~jobs ~stream ~compile ~check:env.check
+            Synth.Replicate.run ~jobs ~stream ~check:env.check
               ~target_length:syn cfg p ~master_seed:seed
               ~replicas:(Option.value replicas ~default:4))
     in
@@ -354,7 +343,6 @@ let diag env params =
   let seed = int_def params "seed" 42 in
   let k = int_opt params "k" in
   let profile_file = str_opt params "profile" in
-  let compile = not (bool_def params "no_compile" false) in
   let json = bool_def params "json" false in
   let check_eps = float_opt params "check" in
   let eds = bool_def params "eds" false in
@@ -363,25 +351,15 @@ let diag env params =
   let warn m = warnings := m :: !warnings in
   let p = collect_profile env ~warn cfg ~bench ~length ~k ~profile_file in
   env.check ();
+  let plan =
+    tspan env "cache.plan" (fun () ->
+        match reduction with
+        | Some r -> Runner.Cache.plan env.cache ~reduction:r p
+        | None -> Runner.Cache.plan env.cache ~target_length:syn p)
+  in
+  env.check ();
   let tr =
-    if compile then begin
-      let plan =
-        tspan env "cache.plan" (fun () ->
-            match reduction with
-            | Some r -> Runner.Cache.plan env.cache ~reduction:r p
-            | None -> Runner.Cache.plan env.cache ~target_length:syn p)
-      in
-      env.check ();
-      tspan env "generate" (fun () ->
-          Synth.Generate.generate_of_plan plan ~seed)
-    end
-    else
-      tspan env "generate" (fun () ->
-          match reduction with
-          | Some r ->
-            Synth.Generate.generate ~compile:false ~reduction:r p ~seed
-          | None ->
-            Synth.Generate.generate ~compile:false ~target_length:syn p ~seed)
+    tspan env "generate" (fun () -> Synth.Generate.generate_of_plan plan ~seed)
   in
   env.check ();
   let d = tspan env "diag.compare" (fun () -> Diag.compare ~label:bench p tr) in
@@ -473,16 +451,16 @@ let experiment env params =
 
 (* --- dse --- *)
 
+(* The sweep arrives inline: the daemon never opens a file whose path a
+   client chose (the CLI reads --sweep FILE itself and sends the
+   object). *)
 let dse env params =
   let sweep =
     match Json.member "sweep" params with
-    | Some (Json.Str path) -> (
-      match Dse.Sweep.load_file path with
-      | Ok s -> s
-      | Error m -> bad "%s" m)
-    | Some j -> (
+    | Some (Json.Obj _ as j) -> (
       match Dse.Sweep.of_json j with Ok s -> s | Error m -> bad "%s" m)
-    | None -> bad "missing \"sweep\" (inline sweep object or file path)"
+    | Some _ -> bad "\"sweep\" must be an inline sweep object"
+    | None -> bad "missing \"sweep\" (inline sweep object)"
   in
   let bench = str_def params "bench" "gcc" in
   let length = int_def params "length" 300_000 in
@@ -508,11 +486,17 @@ let dse env params =
   | Error m -> Error m
   | Ok r ->
     let buf = Buffer.create 1024 in
+    let csv = Buffer.create 256 in
     tspan env "render" (fun () ->
         let ppf = Format.formatter_of_buffer buf in
         Runner.Report.render format ppf (Dse.Driver.to_report r);
+        Format.pp_print_flush ppf ();
+        let ppf = Format.formatter_of_buffer csv in
+        Runner.Report.to_csv ppf (Dse.Driver.pareto_report r);
         Format.pp_print_flush ppf ());
-    result_obj ~warnings:[] buf
+    result_obj
+      ~extra:[ ("pareto_csv", Json.Str (Buffer.contents csv)) ]
+      ~warnings:[] buf
 
 (* --- small ops --- *)
 

@@ -48,14 +48,17 @@ val op_names : string list
     replication-mode requests through {!Synth.Stratify}; [estimate] is
     the zero-simulation {!Analytical.Steady_state} instant answer
     (structured reply in its ["estimate"] field, cached through
-    {!Runner.Cache.estimate}). *)
+    {!Runner.Cache.estimate}). [dse] takes its sweep as an inline
+    sweep-file object ({!Dse.Sweep.of_json}) and rejects a string —
+    the daemon never opens a file a client names — and returns the
+    Pareto frontier CSV in its ["pareto_csv"] field. *)
 
 val dispatch :
   env -> op:string -> Telemetry.Json.t -> (Telemetry.Json.t, string) result
 (** Run one op. [Ok] carries the result object — ["output"] holds the
     CLI-identical report text; ops may add structured fields
-    (["warnings"], diag's ["check_ok"]/["check_message"],
-    [cache-stats]' counters). [Error] is a client mistake (unknown op,
+    (["warnings"], diag's ["check_ok"]/["check_message"], dse's
+    ["pareto_csv"], [cache-stats]' counters). [Error] is a client mistake (unknown op,
     unknown workload, bad params) to be mapped to a [bad_request]
     reply. Exceptions (including {!Cancelled}/{!Deadline_exceeded}
     raised from [env.check]) propagate to the caller.

@@ -24,10 +24,10 @@ let run_of_stream ?wrong_path_locality ?window cfg s =
       Telemetry.add c_instructions m.Uarch.Metrics.committed;
       m)
 
-let run_stream ?wrong_path_locality ?window ?compile ?reduction ?target_length
-    cfg p ~seed =
+let run_stream ?wrong_path_locality ?window ?reduction ?target_length cfg p
+    ~seed =
   run_of_stream ?wrong_path_locality ?window cfg
-    (Generate.stream ?compile ?reduction ?target_length p ~seed)
+    (Generate.stream ?reduction ?target_length p ~seed)
 
 let run_stream_of_plan ?wrong_path_locality ?window cfg plan ~seed =
   run_of_stream ?wrong_path_locality ?window cfg

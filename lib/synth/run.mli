@@ -14,7 +14,6 @@ val run :
 val run_stream :
   ?wrong_path_locality:bool ->
   ?window:int ->
-  ?compile:bool ->
   ?reduction:int ->
   ?target_length:int ->
   Config.Machine.t ->
@@ -25,9 +24,7 @@ val run_stream :
     instructions straight into the pipeline through {!Stream_feed},
     in memory proportional to the feed window rather than the trace
     length. Bit-identical to
-    [run cfg (Generate.generate ... ~seed)] for equal arguments
-    (including [compile], which selects the engine exactly as in
-    {!Generate.stream}). *)
+    [run cfg (Generate.generate ... ~seed)] for equal arguments. *)
 
 val run_stream_of_plan :
   ?wrong_path_locality:bool ->

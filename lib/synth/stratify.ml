@@ -30,8 +30,7 @@
    is one uniform 32-bit draw against the plan's fixed-point
    thresholds — so mu_X is a finite sum over plan thresholds, the
    closed-form steady-state expectation of the reduced chain.
-   Exactness is what keeps Y - beta*(X - mu_X) unbiased.  This needs
-   the compiled-kernel path; [run]/[run_ci] always compile. *)
+   Exactness is what keeps Y - beta*(X - mu_X) unbiased. *)
 
 let span_replica = Telemetry.span "synth.stratify.replica"
 let span_prepare = Telemetry.span "synth.stratify.prepare"

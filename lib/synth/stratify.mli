@@ -17,9 +17,9 @@
     pair is fixed before simulation and aggregation is in (stratum,
     seed) order, so reports are byte-identical at any [jobs] value;
     per-stratum seed tables are prefix-stable as the budget grows
-    (house-monotone allocation + frozen pilot shares).  The engine
-    always uses the compiled-kernel path — the control variate's exact
-    expectation is a finite sum over plan thresholds. *)
+    (house-monotone allocation + frozen pilot shares).  The control
+    variate's exact expectation is a finite sum over plan
+    thresholds. *)
 
 val neyman_allocate :
   weights:float array -> sigmas:float array -> pilot:int -> total:int ->

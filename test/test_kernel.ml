@@ -1,7 +1,7 @@
 (* Compiled synthesis kernel: fixed-point threshold guards, Fenwick
-   tree, plan codec round-trips, compiled-vs-interpreted walk
-   invariants, event-driven pipeline equivalence, and the runner's
-   plan cache tier. *)
+   tree, plan codec round-trips, the walk's counts against the paper's
+   reduction rule in closed form, event-driven pipeline equivalence,
+   and the runner's plan cache tier. *)
 
 let check = Alcotest.(check bool)
 
@@ -106,30 +106,68 @@ let test_fenwick_bounds () =
     (Invalid_argument "Fenwick.add: index out of range") (fun () ->
       Kernel.Fenwick.add t 3 1)
 
-(* --- compiled vs interpreted walk invariants --- *)
+(* --- the walk against the paper's reduction rule, in closed form --- *)
 
-let block_counts (t : Synth.Trace.t) =
-  let tbl = Hashtbl.create 64 in
+let counts_of tbl =
+  List.sort compare
+    (Hashtbl.fold (fun k c acc -> if c > 0 then (k, c) :: acc else acc) tbl [])
+
+let bump tbl key n =
+  Hashtbl.replace tbl key
+    (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+
+(* What the reduced walk must emit, read off the SFG alone: every node
+   survives with floor(occurrences / R) visits and emits all of its
+   slots on each one. Returns (trace length, per-block instruction
+   counts, per-class counts). *)
+let closed_form (p : Profile.Stat_profile.t) ~r =
+  let blocks = Hashtbl.create 64 and classes = Hashtbl.create 16 in
+  let len = ref 0 in
+  Profile.Sfg.iter_nodes p.sfg (fun n ->
+      let visits = n.occurrences / r in
+      let nslots = Array.length n.slots in
+      bump blocks n.block (visits * nslots);
+      Array.iter (fun (sl : Profile.Sfg.slot) -> bump classes sl.klass visits)
+        n.slots;
+      len := !len + (visits * nslots));
+  (!len, counts_of blocks, counts_of classes)
+
+let observed (t : Synth.Trace.t) =
+  let blocks = Hashtbl.create 64 and classes = Hashtbl.create 16 in
   Array.iter
     (fun (i : Synth.Trace.inst) ->
-      Hashtbl.replace tbl i.block
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl i.block)))
+      bump blocks i.block 1;
+      bump classes i.klass 1)
     t.insts;
-  List.sort compare (Hashtbl.fold (fun b c acc -> (b, c) :: acc) tbl [])
+  (Synth.Trace.length t, counts_of blocks, counts_of classes)
 
-let test_compiled_matches_interpreted_counts () =
-  let p = profile_of "gcc" 30_000 in
-  let interp = Synth.Generate.generate ~compile:false ~reduction:3 p ~seed:7 in
-  let compiled = Synth.Generate.generate ~reduction:3 p ~seed:7 in
-  (* both engines visit every surviving node exactly occurrences/R
-     times, so length and per-block counts match exactly — only the
-     visit order may differ *)
-  Alcotest.(check int) "same length" (Synth.Trace.length interp)
-    (Synth.Trace.length compiled);
-  Alcotest.(check int) "same reduction" interp.reduction compiled.reduction;
-  Alcotest.(check int) "same k" interp.k compiled.k;
-  check "same per-block visit counts" true
-    (block_counts interp = block_counts compiled)
+let closed_form_profiles = Hashtbl.create 16
+
+let prop_walk_matches_closed_form =
+  let benches = Array.of_list Workload.Suite.names in
+  QCheck.Test.make ~name:"walk matches closed-form counts" ~count:40
+    QCheck.(
+      triple
+        (int_bound (Array.length benches - 1))
+        (int_bound 3) (int_range 1 64))
+    (fun (b, k, r) ->
+      let p =
+        match Hashtbl.find_opt closed_form_profiles (b, k) with
+        | Some p -> p
+        | None ->
+          let p =
+            Statsim.profile ~k cfg
+              (Workload.Suite.stream (Workload.Suite.find benches.(b))
+                 ~length:6_000)
+          in
+          Hashtbl.add closed_form_profiles (b, k) p;
+          p
+      in
+      let ((len, _, _) as expected) = closed_form p ~r in
+      (* an R that empties the graph is rejected, not walked *)
+      QCheck.assume (len > 0);
+      let t = Synth.Generate.generate ~reduction:r p ~seed:(b + k + r) in
+      t.reduction = r && t.k = k && observed t = expected)
 
 let test_compiled_stream_equals_materialized () =
   let p = profile_of "twolf" 20_000 in
@@ -151,8 +189,7 @@ let test_compiled_stream_equals_materialized () =
 let test_empty_count_node () =
   (* a node whose branch/fetch/load denominators are all zero must
      compile (thresholds guard the zero denominators) and generate
-     all-false events; the never-executed branch emits taken, matching
-     the interpreted rule *)
+     all-false events; the never-executed branch emits taken *)
   let sfg = Profile.Sfg.create ~k:0 in
   let key = Profile.Sfg.key_of_history [| 1 |] ~len:1 in
   let n = Profile.Sfg.find_or_add sfg ~key ~block:1 in
@@ -289,8 +326,7 @@ let suite =
     Alcotest.test_case "meta packing" `Quick test_meta_packing;
     QCheck_alcotest.to_alcotest prop_fenwick_matches_naive;
     Alcotest.test_case "fenwick bounds" `Quick test_fenwick_bounds;
-    Alcotest.test_case "compiled matches interpreted counts" `Quick
-      test_compiled_matches_interpreted_counts;
+    QCheck_alcotest.to_alcotest prop_walk_matches_closed_form;
     Alcotest.test_case "compiled stream equals materialized" `Quick
       test_compiled_stream_equals_materialized;
     Alcotest.test_case "empty-count node" `Quick test_empty_count_node;

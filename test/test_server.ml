@@ -167,6 +167,10 @@ let test_ping_and_cache_stats () =
       in
       Alcotest.(check int) "cold cache" 0 (stat_field s "profile_computes"))
 
+let inproc_env ?(jobs = 1) () =
+  { Server.Ops.cache = Runner.Cache.create (); jobs; check = (fun () -> ());
+    trace = None }
+
 let sim_params =
   Json.Obj
     [
@@ -181,11 +185,7 @@ let sim_params =
    simulates the EDS reference exactly once *)
 let test_concurrent_simulate_shared_cache () =
   let expected =
-    let env =
-      { Server.Ops.cache = Runner.Cache.create (); jobs = 1;
-        check = (fun () -> ()); trace = None }
-    in
-    match Server.Ops.dispatch env ~op:"simulate" sim_params with
+    match Server.Ops.dispatch (inproc_env ()) ~op:"simulate" sim_params with
     | Ok r -> Server.Ops.output r
     | Error e -> Alcotest.failf "reference dispatch failed: %s" e
   in
@@ -365,6 +365,100 @@ let test_unknown_op () =
           (String.length msg > 0
           && String.sub msg 0 10 = "unknown op")
       | _ -> Alcotest.fail "unknown op should answer bad_request")
+
+(* --- experiment / dse ops, in process --- *)
+
+let dispatch_ok env ~op params =
+  match Server.Ops.dispatch env ~op params with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "%s dispatch failed: %s" op e
+
+let render_to_string f =
+  let buf = Buffer.create 1024 in
+  let ppf = Format.formatter_of_buffer buf in
+  f ppf;
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
+(* the dse op over the checked-in smoke sweep sent inline, as the CLI
+   sends it: its output is the driver's report and its pareto_csv field
+   the frontier CSV the CLI writes for --pareto-out *)
+let test_dse_op () =
+  let sweep =
+    match Dse.Sweep.load_file "../examples/sweep_smoke.json" with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "sweep_smoke.json: %s" e
+  in
+  let env = inproc_env () in
+  let r =
+    dispatch_ok env ~op:"dse"
+      (Json.Obj
+         [
+           ("sweep", Dse.Sweep.to_json sweep);
+           ("bench", Json.Str "gcc");
+           ("length", Json.Num 4000.0);
+           ("synthetic", Json.Num 600.0);
+           ("format", Json.Str "json");
+         ])
+  in
+  let d =
+    match
+      Dse.Driver.run ~cache:env.Server.Ops.cache ~jobs:1 ~replicas:1
+        ~length:4000 ~target_length:600 ~sweep
+        ~bench:(Workload.Suite.find "gcc") ~seed:42 ()
+    with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "Dse.Driver.run: %s" e
+  in
+  Alcotest.(check string) "output is the driver's report"
+    (render_to_string (fun ppf ->
+         Runner.Report.render Runner.Report.Json ppf (Dse.Driver.to_report d)))
+    (Server.Ops.output r);
+  Alcotest.(check (option string)) "pareto_csv is the frontier CSV"
+    (Some
+       (render_to_string (fun ppf ->
+            Runner.Report.to_csv ppf (Dse.Driver.pareto_report d))))
+    (Option.bind (Json.member "pareto_csv" r) Json.to_str)
+
+(* a sweep given as a path is refused, not opened — the daemon answers
+   bad_request even for a readable sweep file *)
+let test_dse_rejects_path () =
+  let params = Json.Obj [ ("sweep", Json.Str "../examples/sweep_smoke.json") ] in
+  check "in-process Error" true
+    (Result.is_error (Server.Ops.dispatch (inproc_env ()) ~op:"dse" params));
+  with_server (fun sock _t ->
+      match Server.Client.oneshot ~socket:sock ~op:"dse" params with
+      | Ok { Protocol.outcome = Error (Protocol.Bad_request, _); _ } -> ()
+      | _ -> Alcotest.fail "a sweep path should answer bad_request")
+
+let test_experiment_unknown_id () =
+  check "unknown id is an Error" true
+    (Result.is_error
+       (Server.Ops.dispatch (inproc_env ()) ~op:"experiment"
+          (Json.Obj [ ("ids", Json.Arr [ Json.Str "nope" ]) ])))
+
+let test_experiment_op () =
+  let env = inproc_env ~jobs:2 () in
+  let entry = Option.get (Experiments.Registry.find "table1") in
+  List.iter
+    (fun (name, format) ->
+      let r =
+        dispatch_ok env ~op:"experiment"
+          (Json.Obj
+             [
+               ("ids", Json.Arr [ Json.Str "table1" ]);
+               ("format", Json.Str name);
+             ])
+      in
+      let ctx =
+        { Runner.Exec.cache = env.Server.Ops.cache; jobs = env.Server.Ops.jobs }
+      in
+      Alcotest.(check string) (name ^ " output")
+        (render_to_string (fun ppf ->
+             Runner.Report.render format ppf
+               (Runner.Exec.run ~label:"table1" ctx entry.plan)))
+        (Server.Ops.output r))
+    [ ("text", Runner.Report.Text); ("json", Runner.Report.Json) ]
 
 (* --- observability plane --- *)
 
@@ -601,4 +695,11 @@ let suite =
     Alcotest.test_case "access log nulls untimed fields" `Quick
       test_access_log_untimed_nulls;
     Alcotest.test_case "unknown op" `Quick test_unknown_op;
+    Alcotest.test_case "dse op renders the driver's report" `Quick test_dse_op;
+    Alcotest.test_case "dse op refuses a sweep path" `Quick
+      test_dse_rejects_path;
+    Alcotest.test_case "experiment op rejects an unknown id" `Quick
+      test_experiment_unknown_id;
+    Alcotest.test_case "experiment op equals Runner.Exec.run" `Quick
+      test_experiment_op;
   ]
